@@ -333,7 +333,8 @@ pub struct Compiler {
     /// Lowering options (high-level optimizations, auto-parallelization);
     /// public so experiments can toggle the ablation knobs.
     pub options: LowerOptions,
-    /// Execution tier for `run*` (the `cmmc run --tier` argument).
+    /// Execution tier for `run*` and [`Compiler::run_cost_probe`] (the
+    /// `cmmc run --tier` argument).
     /// Defaults to the bytecode VM; the tree-walker remains available as
     /// the reference oracle. A program the VM lowering cannot express
     /// falls back to the tree-walker silently — semantics are identical
@@ -550,11 +551,14 @@ impl Compiler {
     }
 
     /// Deterministic loop-cost probe (the `cmm-tune` measurement mode):
-    /// compile and execute on a single thread, tree tier, with
+    /// compile and execute on a single thread, on this compiler's
+    /// [`Compiler::tier`] (the bytecode VM by default, falling back to
+    /// the tree-walker only if VM lowering fails), with
     /// [`Interp::with_cost_probe`] enabled — parallel loops run
     /// sequentially and record per-iteration fuel. Returns the run
     /// result, the per-loop cost records, and the total fuel consumed.
-    /// Everything returned is a pure function of `(src, limits)`.
+    /// Everything returned is a pure function of `(src, limits)`, and
+    /// the same on either tier.
     pub fn run_cost_probe(
         &self,
         src: &str,
@@ -563,7 +567,7 @@ impl Compiler {
         let ir = self.compile(src)?;
         let interp = Interp::new(&ir, 1)
             .with_limits(limits)
-            .with_tier(Tier::Tree)
+            .with_tier(self.tier)
             .with_cost_probe(true);
         interp.run_main().map_err(map_interp_error)?;
         let result = RunResult {

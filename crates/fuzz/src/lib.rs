@@ -187,6 +187,7 @@ mod tests {
         assert_eq!(outcome.counts.schedule, 25 * 15);
         assert_eq!(outcome.counts.limits, 25);
         assert_eq!(outcome.counts.vm, 25);
+        assert_eq!(outcome.counts.probe, 25);
         assert_eq!(outcome.counts.tuned, 25);
     }
 

@@ -15,7 +15,9 @@
 //!    metering must never change what executes.
 //! 4. **vm** — the tree-walking interpreter re-runs the program as the
 //!    reference oracle for the bytecode VM baseline: identical output,
-//!    allocation/leak counts, and compiled IR are required.
+//!    allocation/leak counts, and compiled IR are required. The
+//!    autotuner's loop-cost probe then runs on both tiers and must
+//!    record identical per-iteration fuel, total fuel, and output.
 //! 5. **tuned** — `cmm_tune::tune` with a fixed seed and a small
 //!    budget rewrites the program's directives; the tuned source must
 //!    reproduce the untuned baseline output bitwise and leak-free, and
@@ -109,6 +111,8 @@ pub struct CheckCounts {
     pub limits: u64,
     /// Vm-oracle comparisons run (tree-walker reference re-runs).
     pub vm: u64,
+    /// Cost-probe comparisons the vm oracle ran (VM probe vs tree probe).
+    pub probe: u64,
     /// Tuned-oracle comparisons run (autotune + tuned re-run).
     pub tuned: u64,
     /// Gcc-oracle comparisons run (0 when gcc is absent).
@@ -122,6 +126,7 @@ impl CheckCounts {
         self.schedule += o.schedule;
         self.limits += o.limits;
         self.vm += o.vm;
+        self.probe += o.probe;
         self.tuned += o.tuned;
         self.gcc += o.gcc;
     }
@@ -300,6 +305,8 @@ impl Harness {
                 OracleKind::Vm => {
                     self.check_vm(src, &base, bounded)?;
                     counts.vm += 1;
+                    self.check_probe(src, bounded)?;
+                    counts.probe += 1;
                 }
                 OracleKind::Tuned => {
                     self.check_tuned(src, &base, bounded)?;
@@ -487,6 +494,35 @@ impl Harness {
             )));
         }
         Ok(())
+    }
+
+    /// Run the autotuner's loop-cost probe on the bytecode VM and on the
+    /// tree-walker and require the same per-loop iteration costs, total
+    /// fuel and output — or the same error. The tuner scores candidates
+    /// on the VM probe; the tree-walker is its reference.
+    fn check_probe(&self, src: &str, bounded: bool) -> Result<(), Failure> {
+        // No deadline: a wall-clock stop would differ between tiers.
+        let limits = if bounded {
+            Limits { deadline: None, ..bounded_limits() }
+        } else {
+            Limits::default()
+        };
+        let vm = self.opt.run_cost_probe(src, limits.clone());
+        let tree = self.tree.run_cost_probe(src, limits);
+        let same = match (&vm, &tree) {
+            (Ok((rv, cv, sv)), Ok((rt, ct, st))) => rv.output == rt.output && cv == ct && sv == st,
+            (Err(ev), Err(et)) => ev.to_string() == et.to_string(),
+            _ => false,
+        };
+        if same {
+            return Ok(());
+        }
+        Err(Failure {
+            oracle: Some(OracleKind::Vm),
+            detail: format!(
+                "cost probe differs between tiers\n--- tree-walker\n{tree:?}\n--- vm\n{vm:?}"
+            ),
+        })
     }
 
     /// Autotune the program with a fixed seed and a small budget, then

@@ -563,7 +563,7 @@ pub struct Interp<'p> {
     pub(crate) schedule: Schedule,
     /// Loop-cost probe switch ([`Interp::with_cost_probe`]): parallel
     /// loops execute sequentially and record per-iteration fuel.
-    cost_probe: bool,
+    pub(crate) cost_probe: bool,
     /// Parallel-loop nesting depth during a probe run; only depth-0
     /// loops record (inner parallel loops fold into the outer
     /// iteration's cost, matching how the region dispatches).
@@ -584,7 +584,8 @@ pub struct LoopCost {
     /// Per-loop `schedule(...)` directive, if the program pinned one.
     pub schedule: Option<Schedule>,
     /// Interpreter fuel consumed by each iteration, in order (includes
-    /// any nested parallel loops, which the probe runs sequentially).
+    /// any nested parallel loops, which the probe runs sequentially, and
+    /// the spawned calls the iteration left pending).
     pub iters: Vec<u64>,
 }
 
@@ -681,14 +682,14 @@ impl<'p> Interp<'p> {
     /// Sequential execution plus the per-statement fuel charges makes
     /// the recorded costs a pure function of the program — no pool, no
     /// clock — so a tuner can replay them through the virtual-time
-    /// makespan model deterministically. Forces the tree tier (the VM
-    /// batches fuel per basic block, which would blur iteration
-    /// boundaries); call after [`Interp::with_tier`] if both are used.
+    /// makespan model deterministically. Runs on whichever tier
+    /// [`Interp::with_tier`] selected: both tiers execute the same probe
+    /// loop (`Interp::probe_parallel_loop`), and the VM charges fuel at
+    /// the tree-walker's statement-group boundaries with each parallel
+    /// body's leading charge carrying its iteration step, so the records,
+    /// `steps_used()` and the output are identical on both.
     pub fn with_cost_probe(mut self, enabled: bool) -> Self {
         self.cost_probe = enabled;
-        if enabled {
-            self.vm = None;
-        }
         self
     }
 
@@ -1128,16 +1129,25 @@ impl<'p> Interp<'p> {
     fn exec_for(&self, f: &RFor, frame: &mut Frame) -> IResult<Flow> {
         let lo = self.eval(&f.lo, frame)?.as_i()?;
         let hi = self.eval(&f.hi, frame)?.as_i()?;
-        if self.cost_probe && f.parallel && hi > lo {
-            return self.probe_for(f, frame, lo, hi);
-        }
         if f.parallel && hi > lo {
             // Enhanced fork-join execution: iterations are chunked over the
             // persistent pool. Each participant's private frame is seeded
             // with only the captured slots — the values the body actually
             // reads — instead of a clone of the whole environment; locals
             // declared in the body stay thread-private, buffer writes go
-            // to shared storage at disjoint indices.
+            // to shared storage at disjoint indices. The cost probe runs
+            // the iterations in order on one such frame instead.
+            let mut template: Vec<Value> = vec![Value::Unit; frame.slots.len()];
+            for &s in &f.captured {
+                template[s as usize] = frame.slots[s as usize].clone();
+            }
+            if self.cost_probe {
+                self.probe_parallel_loop(&f.name, f.schedule, f.var, template, lo..hi, |tf| {
+                    self.charge(1)?;
+                    Ok(matches!(self.exec_block(&f.body, tf)?, Flow::Return(_)))
+                })?;
+                return Ok(Flow::Normal);
+            }
             // `hi > lo`, so the wrapped difference is the exact count (an
             // i32 range never exceeds 2^32 - 1 iterations); `hi - lo`
             // itself can overflow i32 for bounds straddling zero.
@@ -1145,10 +1155,6 @@ impl<'p> Interp<'p> {
             if self.profile {
                 self.par_loops.fetch_add(1, Ordering::Relaxed);
                 self.par_iters.fetch_add(total as u64, Ordering::Relaxed);
-            }
-            let mut template: Vec<Value> = vec![Value::Unit; frame.slots.len()];
-            for &s in &f.captured {
-                template[s as usize] = frame.slots[s as usize].clone();
             }
             let error: Mutex<Option<InterpError>> = Mutex::new(None);
             // Self-scheduled execution over the pool's work-stealing
@@ -1225,47 +1231,58 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Cost-probe execution of a parallel loop: sequential, on the
-    /// calling thread, recording per-iteration fuel deltas when this is
-    /// the outermost parallel loop. See [`Interp::with_cost_probe`].
-    fn probe_for(&self, f: &RFor, frame: &mut Frame, lo: i32, hi: i32) -> IResult<Flow> {
+    /// Cost-probe execution of one parallel loop, shared by both tiers
+    /// so their records cannot drift (see [`Interp::with_cost_probe`]).
+    /// Iterations run in order on the calling thread, on one private
+    /// frame seeded from `template` exactly like a pool participant's,
+    /// and each iteration's fuel window closes only after the spawns it
+    /// left pending have drained — the parallel branches drain them per
+    /// iteration too. Only the outermost (depth-0) parallel loop
+    /// records; nested ones fold into its iterations, matching how the
+    /// region dispatches. `iteration` runs one body (iteration step
+    /// included) and reports whether it executed a `return`.
+    pub(crate) fn probe_parallel_loop(
+        &self,
+        name: &str,
+        schedule: Option<Schedule>,
+        var: u32,
+        template: Vec<Value>,
+        range: std::ops::Range<i32>,
+        mut iteration: impl FnMut(&mut Frame) -> IResult<bool>,
+    ) -> IResult<()> {
         let record = self.probe_depth.fetch_add(1, Ordering::Relaxed) == 0;
+        let mut frame = Frame {
+            slots: template,
+            pending: Vec::new(),
+        };
+        let mut iters = Vec::new();
         let result = (|| {
-            let mut iters = if record {
-                Vec::with_capacity(hi.wrapping_sub(lo) as u32 as usize)
-            } else {
-                Vec::new()
-            };
-            let mut i = lo;
-            while i < hi {
+            for i in range {
                 let before = self.steps_used();
-                self.charge(1)?;
-                frame.slots[f.var as usize] = Value::I(i);
-                match self.exec_block(&f.body, frame)? {
-                    Flow::Normal => {}
-                    Flow::Return(_) => {
-                        return Err(InterpError::new(
-                            "return inside a parallel loop is not supported",
-                        ))
-                    }
+                frame.slots[var as usize] = Value::I(i);
+                let returned = iteration(&mut frame)?;
+                self.run_pending(&mut frame)?;
+                if returned {
+                    return Err(InterpError::new(
+                        "return inside a parallel loop is not supported",
+                    ));
                 }
                 if record {
                     iters.push(self.steps_used().saturating_sub(before));
                 }
-                i = i.wrapping_add(1);
             }
-            Ok(iters)
+            Ok(())
         })();
         self.probe_depth.fetch_sub(1, Ordering::Relaxed);
-        let iters = result?;
+        result?;
         if record {
             lock_ignore_poison(&self.loop_costs).push(LoopCost {
-                name: f.name.clone(),
-                schedule: f.schedule,
+                name: name.to_string(),
+                schedule,
                 iters,
             });
         }
-        Ok(Flow::Normal)
+        Ok(())
     }
 
     fn eval(&self, expr: &RExpr, frame: &mut Frame) -> IResult<Value> {

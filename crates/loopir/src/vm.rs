@@ -33,10 +33,15 @@
 //! ## Parallel regions
 //!
 //! `ParFor` mirrors the tree-walker's fork-join execution: participants
-//! claim chunks from a shared counter under the loop's schedule, each
-//! running the loop body's bytecode against a private frame seeded with
-//! the captured slots. `PoolMetrics` chunk accounting and the profiling
-//! counters are fed identically.
+//! take schedule-sized bites off their work-stealing deques (stealing
+//! from each other once their own partition runs dry), each running the
+//! loop body's bytecode against a private frame seeded with the captured
+//! slots. `PoolMetrics` chunk accounting and the profiling counters are
+//! fed identically. Under the loop-cost probe
+//! ([`Interp::with_cost_probe`]) the body instead runs through the same
+//! sequential probe loop the tree-walker uses; each body is its own code
+//! stream whose leading `Charge` carries the iteration step, so the
+//! per-iteration fuel deltas match the tree-walker's exactly.
 //!
 //! ## Compile-once / execute-many
 //!
@@ -143,6 +148,8 @@ pub(crate) enum Instr {
 /// and everything `Interp::exec_for` needed from the resolved form.
 #[derive(Debug, Clone)]
 pub(crate) struct ParForData {
+    /// Source name of the loop index (the cost probe's record key).
+    pub name: String,
     pub var: u16,
     /// Register holding the already-coerced lower bound.
     pub lo: u16,
@@ -675,6 +682,7 @@ impl FnCompiler {
         }
         let id = self.parfors.len() as u16;
         self.parfors.push(ParForData {
+            name: f.name.clone(),
             var: f.var as u16,
             lo,
             hi,
@@ -1194,7 +1202,8 @@ fn exec_impl<const BATCH: bool>(
 /// Fork-join execution of a parallel loop's bytecode body — the VM-tier
 /// mirror of `Interp::exec_for`'s parallel branch: same work-stealing
 /// bite protocol, same captured-slot templates, same telemetry, same
-/// error precedence (user-level error beats region panic).
+/// error precedence (user-level error beats region panic), and the same
+/// shared sequential loop under the cost probe.
 fn run_parfor(
     interp: &Interp<'_>,
     vm: &VmProgram,
@@ -1204,16 +1213,22 @@ fn run_parfor(
     lo: i32,
     hi: i32,
 ) -> IResult<()> {
+    let mut template: Vec<Value> = vec![Value::Unit; f.nregs];
+    for &s in &pf.captured {
+        template[s as usize] = frame.slots[s as usize].clone();
+    }
+    if interp.cost_probe {
+        let var = u32::from(pf.var);
+        return interp.probe_parallel_loop(&pf.name, pf.schedule, var, template, lo..hi, |tf| {
+            Ok(exec_impl::<false>(interp, vm, f, &pf.body, tf, &mut 0)?.is_some())
+        });
+    }
     // `hi > lo`, so the wrapped difference is the exact count (an i32
     // range never exceeds 2^32 - 1 iterations).
     let total = hi.wrapping_sub(lo) as u32 as usize;
     if interp.profile {
         interp.par_loops.fetch_add(1, Ordering::Relaxed);
         interp.par_iters.fetch_add(total as u64, Ordering::Relaxed);
-    }
-    let mut template: Vec<Value> = vec![Value::Unit; f.nregs];
-    for &s in &pf.captured {
-        template[s as usize] = frame.slots[s as usize].clone();
     }
     let error: Mutex<Option<InterpError>> = Mutex::new(None);
     let schedule = pf.schedule.unwrap_or(interp.schedule);

@@ -34,9 +34,11 @@
 //!    output before it is handed back.
 //!
 //! Everything the report contains is a pure function of
-//! `(source, TuneConfig)`: the probe runs single-threaded on the tree
-//! tier with per-statement fuel charging, the makespan model is
-//! clock-free, and the default cache geometry is the conservative
+//! `(source, TuneConfig)`: the probe runs single-threaded on the
+//! bytecode VM, whose fuel charges and per-iteration records equal the
+//! tree-walker's by construction (the tree tier is the automatic
+//! fallback when VM lowering fails), the makespan model is clock-free,
+//! and the default cache geometry is the conservative
 //! [`cmm_forkjoin::DEFAULT_GEOMETRY`] rather than the probed host's.
 
 use std::fmt;
@@ -244,7 +246,7 @@ fn score(
     let compile_items: u64 = metrics.passes.iter().map(|p| p.items).sum();
     let interp = Interp::new(&ir, 1)
         .with_limits(probe_limits(cfg))
-        .with_tier(Tier::Tree)
+        .with_tier(Tier::Vm)
         .with_cost_probe(true);
     if let Err(e) = interp.run_main() {
         return Err(Err(e.to_string()));

@@ -1,9 +1,10 @@
 //! Golden-report determinism for `cmm::tune` on the checked-in example
 //! programs: the `cmm-tune-report-v1` document must be a byte-for-byte
 //! pure function of `(source, TuneConfig)`, the winning directive sets
-//! must be stable, and on the deliberately imbalanced example the
-//! winner must model at least as well as the hand-written
-//! `schedule i dynamic, 4` it was written to showcase.
+//! must be stable, the modeled costs and per-site counts must equal the
+//! values checked in to `BENCH_tune.json`, and on the deliberately
+//! imbalanced example the winner must model at least as well as the
+//! hand-written `schedule i dynamic, 4` it was written to showcase.
 
 use cmm::tune::{tune, CandidateStatus, TuneConfig, EXTENSIONS, REPORT_SCHEMA};
 
@@ -47,6 +48,50 @@ fn imbalanced_report_is_deterministic() {
 #[test]
 fn pipeline_profile_report_is_deterministic() {
     assert_deterministic("pipeline_profile.xc");
+}
+
+/// One site's expected outcome: target, winning directives, candidates
+/// evaluated, candidates scored (baseline included).
+type SitePin = (&'static str, &'static str, usize, usize);
+
+/// The seed-42 numbers `BENCH_tune.json` records. A drift that moves
+/// every cost alike passes the determinism checks above; it fails here.
+#[test]
+fn tuner_numbers_match_the_checked_in_artifact() {
+    let pins: [(&str, u64, u64, [SitePin; 2]); 2] = [
+        (
+            "imbalanced.xc",
+            246686,
+            147355,
+            [("grid", "", 16, 16), ("work", "schedule i guided", 13, 13)],
+        ),
+        ("pipeline_profile.xc", 4190, 4190, [("grid", "", 16, 16), ("scores", "", 13, 13)]),
+    ];
+    for (name, baseline, tuned, sites) in pins {
+        let (_, out) = tune_example(name, 42);
+        assert_eq!((out.baseline_cost, out.tuned_cost), (baseline, tuned), "{name}");
+        let got: Vec<(String, String, usize, usize)> = out
+            .sites
+            .iter()
+            .map(|s| {
+                let scored = s
+                    .candidates
+                    .iter()
+                    .filter(|c| matches!(c.status, CandidateStatus::Scored { .. }))
+                    .count();
+                (
+                    s.site.target.clone(),
+                    s.candidates[s.winner].rendered.clone(),
+                    s.candidates.len(),
+                    scored,
+                )
+            })
+            .collect();
+        let want: Vec<(String, String, usize, usize)> =
+            sites.iter().map(|&(t, w, c, k)| (t.to_string(), w.to_string(), c, k)).collect();
+        assert_eq!(got, want, "{name}: per-site outcome drifted");
+        assert!(out.verified, "{name}: joint tuned result must verify");
+    }
 }
 
 /// The triangular workload's tuned winner must model at least as well
